@@ -235,6 +235,27 @@ class DropBack(Optimizer):
         """Copy of the current flat tracked-set mask (None before step 1)."""
         return None if self._mask_flat is None else self._mask_flat.copy()
 
+    def tracked_set(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trained model's sparse content: ``(flat indices, values)``.
+
+        Indices (int64, strictly increasing) address the model's weight
+        plane; values are the float32 trained weights there.  With the
+        model's seed this is the whole model (paper §2): every untracked
+        weight regenerates.  Requires at least one step and
+        ``include_nonprunable=True`` (so the index space covers every
+        parameter).
+        """
+        if self._mask_flat is None:
+            raise RuntimeError("optimizer has no tracked set; train at least one step")
+        if self._fixed:
+            raise ValueError(
+                "a tracked set requires include_nonprunable=True (the flat index "
+                "space must cover every parameter)"
+            )
+        indices = np.flatnonzero(self._mask_flat).astype(np.int64)
+        flat = np.concatenate([p.data.reshape(-1) for _, p in self._prunable])
+        return indices, flat[indices].astype(np.float32)
+
     # ------------------------------------------------------------------ #
     # freeze
     # ------------------------------------------------------------------ #

@@ -1,6 +1,7 @@
 """Checkpoint serialization (dense and DropBack-sparse formats)."""
 
 from repro.io.checkpoint import (
+    PayloadError,
     SparsePayload,
     apply_sparse_payload,
     compression_report,
@@ -18,6 +19,7 @@ __all__ = [
     "save_sparse_quantized",
     "load_sparse_quantized",
     "SparsePayload",
+    "PayloadError",
     "read_sparse_payload",
     "apply_sparse_payload",
     "save_dense",

@@ -32,12 +32,17 @@ __all__ = [
     "read_sparse_payload",
     "apply_sparse_payload",
     "SparsePayload",
+    "PayloadError",
     "sparse_size_bytes",
     "dense_size_bytes",
     "compression_report",
 ]
 
 _FORMAT_VERSION = 1
+
+
+class PayloadError(ValueError):
+    """A sparse payload whose tracked set cannot address a weight plane."""
 
 
 @dataclass
@@ -49,6 +54,12 @@ class SparsePayload:
     indices/values (already dequantized for the quantized format), and the
     BatchNorm running statistics.  ``kind`` is ``"sparse"`` or
     ``"quantized"``; ``bits`` is set only for the latter.
+
+    Construction validates the tracked set once — 1-D, non-negative,
+    strictly increasing indices with one value each — so every consumer
+    can scatter or slice it without re-checking; a bad set raises
+    :class:`PayloadError`.  The range check needs the architecture and
+    lives in :meth:`check_fits`.
     """
 
     seed: int
@@ -58,6 +69,37 @@ class SparsePayload:
     buffers: dict[str, np.ndarray] = field(default_factory=dict)
     kind: str = "sparse"
     bits: int | None = None
+
+    def __post_init__(self) -> None:
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float32)
+        idx = self.indices
+        if idx.ndim != 1:
+            raise PayloadError(f"tracked indices must be 1-D, got shape {idx.shape}")
+        if self.values.shape != idx.shape:
+            raise PayloadError(
+                f"{idx.size} tracked indices but values of shape {self.values.shape}"
+            )
+        lowest = idx.min(initial=0)
+        if lowest < 0:
+            raise PayloadError(f"negative tracked index {lowest}")
+        steps = np.flatnonzero(np.diff(idx) <= 0)
+        if steps.size:
+            i = int(steps[0])
+            raise PayloadError(
+                "tracked indices must be strictly increasing: "
+                f"{idx[i]} then {idx[i + 1]} at position {i + 1}"
+            )
+
+    def check_fits(self, model: Module) -> None:
+        """Raise :class:`PayloadError` unless every tracked index addresses
+        one of ``model``'s parameters (finalized or not)."""
+        total = model.num_parameters()
+        if self.indices.size and self.indices[-1] >= total:
+            raise PayloadError(
+                f"checkpoint indices exceed model parameter count: tracked "
+                f"index {self.indices[-1]} >= {total}"
+            )
 
     @property
     def k(self) -> int:
@@ -93,8 +135,8 @@ def read_sparse_payload(path: str) -> SparsePayload:
             values = quant.dequantize(data["q_values"], float(data["scale"]))
             payload = SparsePayload(
                 seed=int(data["seed"]),
-                indices=np.asarray(data["indices"], dtype=np.int64),
-                values=np.asarray(values, dtype=np.float32),
+                indices=data["indices"],
+                values=values,
                 kind="quantized",
                 bits=bits,
             )
@@ -109,8 +151,8 @@ def read_sparse_payload(path: str) -> SparsePayload:
                 raise ValueError(f"unsupported sparse checkpoint version: {version}")
             payload = SparsePayload(
                 seed=int(data["seed"]),
-                indices=np.asarray(data["indices"], dtype=np.int64),
-                values=np.asarray(data["values"], dtype=np.float32),
+                indices=data["indices"],
+                values=data["values"],
                 zero_untracked=bool(int(data["zero_untracked"])),
             )
         else:
@@ -149,20 +191,7 @@ def save_sparse(model: Module, optimizer: DropBack, path: str) -> None:
     path:
         Output ``.npz`` path.
     """
-    mask = optimizer.tracked_mask
-    if mask is None:
-        raise RuntimeError("optimizer has no tracked set; train at least one step")
-    if optimizer._fixed:
-        raise ValueError(
-            "sparse checkpoints require include_nonprunable=True (the flat index "
-            "space must cover every parameter)"
-        )
-
-    # Collect tracked values in the optimizer's flat prunable index space.
-    flat = np.concatenate([p.data.reshape(-1) for _, p in optimizer._prunable])
-    indices = np.flatnonzero(mask).astype(np.int64)
-    values = flat[indices].astype(np.float32)
-
+    indices, values = optimizer.tracked_set()
     payload: dict[str, np.ndarray] = {
         "__format__": np.int64(_FORMAT_VERSION),
         "seed": np.int64(model.seed),
@@ -194,44 +223,22 @@ def load_sparse(model: Module, path: str) -> Module:
 
 
 def apply_sparse_payload(model: Module, payload: SparsePayload) -> Module:
-    """Materialize a decoded payload into a model (finalize + scatter)."""
-    model.finalize(payload.seed)
-    _scatter_tracked(model, payload.indices, payload.values, payload.zero_untracked)
+    """Materialize a decoded payload into ``model``: the dense weight path.
+
+    Finalizing with the payload's seed regenerates W(0) into a fresh
+    weight plane that every parameter views; the checkpoint's flat index
+    space *is* that plane's layout, so the tracked values land in one
+    vectorized scatter (after zeroing the plane for ``zero_untracked``
+    payloads).  BatchNorm buffers are then restored.
+    """
+    payload.check_fits(model)
+    plane = model.finalize(payload.seed).weight_plane
+    if payload.zero_untracked:
+        plane.fill(0.0)
+    plane[payload.indices] = payload.values
     for dotted, arr in payload.buffers.items():
         model._set_buffer(dotted, arr)
     return model
-
-
-def _scatter_tracked(
-    model: Module, indices: np.ndarray, values: np.ndarray, zero_untracked: bool
-) -> None:
-    """Write tracked ``values`` at flat ``indices`` into a finalized model.
-
-    The checkpoint's flat index space is exactly the model's weight-plane
-    layout, so when every parameter is still plane-backed the whole load is
-    one vectorized scatter through the plane (the views see it instantly —
-    no per-parameter copies).  Falls back to the per-parameter
-    concatenate/scatter path if any view was detached.
-    """
-    params = model.parameters()
-    total = sum(p.size for p in params)
-    if indices.size and indices.max() >= total:
-        raise ValueError("checkpoint indices exceed model parameter count")
-    plane = model.weight_plane
-    if plane is not None and plane.size == total and all(p.plane_backed for p in params):
-        if zero_untracked:
-            plane.fill(0.0)
-        plane[indices] = values
-        return
-    if zero_untracked:
-        for p in params:
-            p.data = np.zeros_like(p.data)
-    flat = np.concatenate([p.data.reshape(-1) for p in params])
-    flat[indices] = values
-    offset = 0
-    for p in params:
-        p.data = flat[offset : offset + p.size].reshape(p.shape).astype(np.float32)
-        offset += p.size
 
 
 def sparse_size_bytes(optimizer: DropBack) -> int:

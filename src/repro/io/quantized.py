@@ -22,15 +22,7 @@ _FORMAT_VERSION = 1
 
 def save_sparse_quantized(model: Module, optimizer: DropBack, path: str, bits: int = 8) -> None:
     """Save seed + tracked indices + ``bits``-bit quantized tracked values."""
-    mask = optimizer.tracked_mask
-    if mask is None:
-        raise RuntimeError("optimizer has no tracked set; train at least one step")
-    if optimizer._fixed:
-        raise ValueError("quantized sparse checkpoints require include_nonprunable=True")
-
-    flat = np.concatenate([p.data.reshape(-1) for _, p in optimizer._prunable])
-    indices = np.flatnonzero(mask).astype(np.int64)
-    values = flat[indices].astype(np.float32)
+    indices, values = optimizer.tracked_set()
     quant = UniformQuantizer(bits=bits, stochastic=False)
     q_values, scale = quant.quantize(values)
     store_dtype = np.int8 if bits <= 8 else np.int16

@@ -190,16 +190,29 @@ class Module:
         *is* ``p.data`` (a reshaped zero-copy view) for every parameter.
         Idempotent for the same seed (each call rebuilds the plane).
         """
-        params = [p for _, p in self.named_parameters()]
-        plane = np.zeros(sum(p.size for p in params), dtype=np.float32)
-        offset = 0
-        for p in params:
+        layout = self.plane_layout()
+        plane = np.zeros(sum(p.size for p, _ in layout), dtype=np.float32)
+        for p, offset in layout:
             p._attach_plane(plane[offset : offset + p.size].reshape(p.shape))
             p.initialize(seed, offset)
-            offset += p.size
         self._plane = plane
         self._seed = int(seed)
         return self
+
+    def plane_layout(self) -> list[tuple[Parameter, int]]:
+        """``(parameter, flat offset)`` pairs in definition order.
+
+        The one definition of the global flat index space: parameters
+        occupy consecutive ranges in :meth:`named_parameters` order.  It
+        needs no :meth:`finalize`, so a checkpoint's flat indices can be
+        sliced per parameter against an unfinalized model.
+        """
+        layout = []
+        offset = 0
+        for _, p in self.named_parameters():
+            layout.append((p, offset))
+            offset += p.size
+        return layout
 
     @property
     def weight_plane(self) -> np.ndarray | None:

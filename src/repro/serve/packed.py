@@ -45,22 +45,6 @@ __all__ = ["PackedModel"]
 _PASSTHROUGH = (Identity, Dropout)
 
 
-def _param_offsets(model: Module) -> dict[int, int]:
-    """Flat-plane offset of every parameter, without finalizing.
-
-    ``Module.finalize`` assigns consecutive index ranges in
-    ``named_parameters`` definition order; the same walk over the
-    *unfinalized* factory model reproduces those offsets exactly, so the
-    payload's flat indices can be sliced per-parameter with no plane.
-    """
-    offsets: dict[int, int] = {}
-    offset = 0
-    for _, p in model.named_parameters():
-        offsets[id(p)] = offset
-        offset += p.size
-    return offsets
-
-
 class _PackedLinear:
     """One Linear layer as (CSR weight pack, dense bias vector)."""
 
@@ -134,18 +118,19 @@ class PackedModel:
         Returns ``None`` whenever the dense path should be used instead:
         scipy missing, regeneration-mode payload, buffer-carrying payload,
         or an architecture with layers this executor does not support.
+        Raises :class:`~repro.io.PayloadError` if a tracked index is out
+        of range for ``model``.
         """
+        payload.check_fits(model)
         if not sparse.is_available():
             return None
         if not payload.zero_untracked or payload.buffers:
             return None
-        total = sum(p.size for p in model.parameters())
-        if payload.indices.size and int(payload.indices[-1]) >= total:
-            raise ValueError("checkpoint indices exceed model parameter count")
-        steps = _build_steps(model, _param_offsets(model), payload)
+        layout = model.plane_layout()
+        steps = _build_steps(model, {id(p): offset for p, offset in layout}, payload)
         if steps is None:
             return None
-        return cls(steps, total)
+        return cls(steps, sum(p.size for p, _ in layout))
 
     @property
     def nbytes(self) -> int:

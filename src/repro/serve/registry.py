@@ -9,18 +9,19 @@ weight plane only when a request actually needs it:
 * checkpoints are keyed by **content digest** (SHA-256 of the wire bytes),
   so the same checkpoint registered twice shares one entry and a client
   can pin an exact model version;
-* materialization reuses the regenerating inference engine: finalize the
-  architecture with the stored seed (regenerating every untracked weight)
-  and scatter the k tracked values — one contiguous write per model,
-  courtesy of the flat weight plane;
+* dense entries materialize through :func:`repro.io.apply_sparse_payload`,
+  the same path as ``load_sparse``: finalize the architecture with the
+  stored seed (regenerating every untracked weight) and scatter the k
+  tracked values — one contiguous write per model, courtesy of the flat
+  weight plane;
 * materialized planes are **LRU-evicted under a byte budget**: evicting a
   cold model drops only its plane (one contiguous buffer); the sparse
   payload stays, so the next request rematerializes it bit-exactly;
 * ``packed=True`` entries with a ``zero_untracked`` payload skip the
   dense plane entirely and serve through CSR weight packs
-  (:mod:`repro.serve.packed`), so their resident cost is the packed bytes
-  — the budget counts pinned payloads plus whatever form (plane or pack)
-  each materialized entry holds.
+  (:class:`~repro.serve.packed.PackedModel`), so their resident cost is
+  the packed bytes — the budget counts pinned payloads plus whatever form
+  (plane or pack) each materialized entry holds.
 
 Bit-exactness of evict → rematerialize is a theorem of the design (the
 plane is a pure function of ``(architecture, seed, tracked set)``) and is
@@ -44,10 +45,10 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analyze.sanitize import tracked_lock
-from repro.infer import RegeneratingInferenceEngine
-from repro.io import SparsePayload, read_sparse_payload
+from repro.analyze.sanitize import check_plane_integrity, sanitize_enabled, tracked_lock
+from repro.io import SparsePayload, apply_sparse_payload, read_sparse_payload
 from repro.nn import Module
+from repro.serve.packed import PackedModel
 from repro.tensor import Tensor, no_grad
 
 __all__ = ["ModelRegistry", "ModelHandle", "RegistryStats", "checkpoint_digest"]
@@ -65,7 +66,7 @@ def checkpoint_digest(path: str) -> str:
 def _payload_digest(payload: SparsePayload) -> str:
     """Digest for payloads registered from memory (no wire bytes)."""
     h = hashlib.sha256()
-    h.update(str(payload.seed).encode())
+    h.update(f"{payload.seed}:{int(payload.zero_untracked)}:".encode())
     h.update(np.ascontiguousarray(payload.indices).tobytes())
     h.update(np.ascontiguousarray(payload.values).tobytes())
     for name in sorted(payload.buffers):
@@ -101,7 +102,7 @@ class ModelHandle:
 
     digest: str
     name: str
-    model: Module
+    model: Module | PackedModel
     lock: threading.Lock
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -119,7 +120,7 @@ class _Entry:
     factory: Callable[[], Module]
     payload: SparsePayload
     packed: bool = False
-    model: Module | None = None
+    model: Module | PackedModel | None = None
     plane_bytes: int = 0
     forward_lock: threading.Lock = field(
         default_factory=lambda: tracked_lock(
@@ -210,11 +211,7 @@ class ModelRegistry:
             if entry is None:
                 raise KeyError(f"unknown model digest: {digest}")
             if entry.model is None:
-                entry.model = self._materialize(entry)
-                plane = getattr(entry.model, "weight_plane", None)
-                # Packed models have no plane; their resident cost is the
-                # CSR structures themselves.
-                entry.plane_bytes = int(entry.model.nbytes if plane is None else plane.nbytes)
+                entry.model, entry.plane_bytes = self._materialize(entry)
                 entry.materializations += 1
                 self.stats.materializations += 1
             else:
@@ -225,29 +222,21 @@ class ModelRegistry:
                 digest=digest, name=entry.name, model=entry.model, lock=entry.forward_lock
             )
 
-    def _materialize(self, entry: _Entry):
-        """Build the servable for one entry: a finalized dense ``Module``,
-        or a plane-free ``PackedModel`` for packed-eligible entries."""
+    def _materialize(self, entry: _Entry) -> tuple[Module | PackedModel, int]:
+        """Build the servable for one entry and its resident bytes: a
+        plane-free ``PackedModel`` (CSR bytes) for packed-eligible entries,
+        else a dense eval-mode ``Module`` (weight-plane bytes)."""
         payload = entry.payload
         if entry.packed:
-            from repro.serve.packed import PackedModel
-
             packed = PackedModel.try_build(entry.factory(), payload)
             if packed is not None:
-                return packed
+                return packed, packed.nbytes
             # Unsupported for packing (regeneration-mode payload, buffers,
             # exotic layers): serve densely like any other entry.
-        model = entry.factory().finalize(payload.seed)
-        engine = RegeneratingInferenceEngine(model, payload.indices, payload.values)
-        engine.materialize_resident(zero_untracked=payload.zero_untracked)
-        for dotted, arr in payload.buffers.items():
-            model._set_buffer(dotted, arr)
-        model.eval()
-        from repro.analyze.sanitize import check_plane_integrity, sanitize_enabled
-
+        model = apply_sparse_payload(entry.factory(), payload).eval()
         if sanitize_enabled():
             check_plane_integrity(model)
-        return model
+        return model, model.weight_plane.nbytes
 
     def _evict_over_budget(self, keep: str) -> None:
         # caller holds self._lock.  The budget covers everything the

@@ -304,3 +304,32 @@ class TestNonPrunable:
         # The prunable pool respects the budget.
         assert opt.tracked_mask.sum() == 3
         assert opt.total_prunable == m[0].weight.size + m[0].bias.size
+
+
+class TestTrackedSet:
+    def test_requires_a_step(self):
+        opt = DropBack(_small_model(), k=5, lr=0.2)
+        with pytest.raises(RuntimeError):
+            opt.tracked_set()
+
+    def test_requires_full_index_space(self):
+        m = Sequential(Linear(4, 3), Linear(3, 2))
+        m[1].weight.prunable = False
+        m.finalize(1)
+        opt = DropBack(m, k=3, lr=0.2, include_nonprunable=False)
+        rng = np.random.default_rng(0)
+        cross_entropy(m(Tensor(rng.normal(size=(8, 4)).astype(np.float32))),
+                      rng.integers(0, 2, size=8)).backward()
+        opt.step()
+        with pytest.raises(ValueError):
+            opt.tracked_set()
+
+    def test_indices_and_values_address_the_plane(self):
+        m = _small_model()
+        opt = DropBack(m, k=9, lr=0.2)
+        for s in range(3):
+            _step(m, opt, seed=s)
+        indices, values = opt.tracked_set()
+        assert indices.dtype == np.int64 and values.dtype == np.float32
+        np.testing.assert_array_equal(indices, np.flatnonzero(opt.tracked_mask))
+        np.testing.assert_array_equal(values, m.weight_plane[indices])

@@ -7,6 +7,7 @@ from repro.core import DropBack
 from repro.data import DataLoader
 from repro.energy import EnergyModel
 from repro.infer import RegeneratingInferenceEngine
+from repro.io import SparsePayload, apply_sparse_payload
 from repro.models import mnist_100_100, wrn_10_1
 from repro.optim import ConstantLR
 from repro.tensor import Tensor, no_grad
@@ -113,6 +114,35 @@ class TestTraffic:
         rep = EnergyModel().report(engine.last_traffic.as_counter())
         dense_pj = model.num_parameters() * 640.0
         assert rep.total_pj < dense_pj / 5  # big inference energy saving
+
+
+class TestMaterializeResident:
+    @pytest.mark.parametrize("zero_untracked", [False, True])
+    def test_plane_bit_equal_to_apply_sparse_payload(self, zero_untracked):
+        n = mnist_100_100().num_parameters()
+        k = n // 5
+        rng = np.random.default_rng(4)
+        payload = SparsePayload(
+            seed=6,
+            indices=np.sort(rng.choice(n, size=k, replace=False)),
+            values=rng.normal(size=k).astype(np.float32),
+            zero_untracked=zero_untracked,
+        )
+        expected = apply_sparse_payload(mnist_100_100(), payload).weight_plane
+
+        model = mnist_100_100().finalize(payload.seed)
+        model.weight_plane[...] = 7.0  # any weight left unwritten shows up
+        engine = RegeneratingInferenceEngine(model, payload.indices, payload.values)
+        traffic = engine.materialize_resident(zero_untracked=zero_untracked)
+
+        assert all(p.plane_backed for p in model.parameters())
+        np.testing.assert_array_equal(
+            model.weight_plane.view(np.uint32), expected.view(np.uint32)
+        )
+        assert engine.last_traffic is traffic
+        assert traffic.tracked_fetches == k
+        assert traffic.regenerations == (0 if zero_untracked else n - k)
+        assert traffic.peak_resident_weights == n + k
 
 
 class TestNonSequentialModels:

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from repro.core import DropBack
 from repro.data import DataLoader
 from repro.io import (
+    PayloadError,
     apply_sparse_payload,
+    load_sparse,
     read_sparse_payload,
     save_sparse,
     save_sparse_quantized,
@@ -110,6 +113,58 @@ class TestRegistry:
         registry.acquire(digest)
         assert registry.resident_bytes > 0
         assert registry.stats.materializations == 1
+
+    def test_zero_untracked_flag_is_part_of_the_digest(self):
+        regen = _payload(31)
+        zeroed = replace(regen, zero_untracked=True)
+        registry = ModelRegistry()
+        d_regen = registry.register_payload("regen", mnist_100_100, regen)
+        d_zeroed = registry.register_payload("zeroed", mnist_100_100, zeroed)
+        assert d_regen != d_zeroed
+        assert len(registry) == 2
+        x = np.random.default_rng(2).normal(size=(4, 28, 28)).astype(np.float32)
+        out_regen = registry.acquire(d_regen).forward(x)
+        out_zeroed = registry.acquire(d_zeroed).forward(x)
+        assert not np.array_equal(out_regen, out_zeroed)
+        np.testing.assert_array_equal(out_zeroed, _dense_forward(zeroed, x))
+
+
+# Tracked (indices, number of values) per defect; None stands for the
+# model's parameter count (the first out-of-range index).
+_MALFORMED = {
+    "negative": ([-1, 5, 10], 3),
+    "duplicate": ([3, 5, 5], 3),
+    "unsorted": ([10, 5, 3], 3),
+    "length_mismatch": ([3, 5, 10], 2),
+    "out_of_range": ([3, 5, None], 3),
+}
+
+
+class TestPayloadValidation:
+    """A malformed tracked set is a typed error on every load route."""
+
+    @pytest.mark.parametrize("route", ["load_sparse", "registry_dense", "registry_packed"])
+    @pytest.mark.parametrize("defect", sorted(_MALFORMED))
+    def test_malformed_tracked_set_rejected(self, tmp_path, defect, route):
+        n = mnist_100_100().num_parameters()
+        indices, n_values = _MALFORMED[defect]
+        path = str(tmp_path / "bad.npz")
+        np.savez(
+            path,
+            __format__=np.int64(1),
+            seed=np.int64(1),
+            k=np.int64(len(indices)),
+            zero_untracked=np.int64(1),  # packed-eligible
+            indices=np.array([n if i is None else i for i in indices], dtype=np.int64),
+            values=np.ones(n_values, dtype=np.float32),
+        )
+        with pytest.raises(PayloadError):
+            if route == "load_sparse":
+                load_sparse(mnist_100_100(), path)
+            else:
+                registry = ModelRegistry()
+                packed = route == "registry_packed"
+                registry.acquire(registry.register("bad", mnist_100_100, path, packed=packed))
 
 
 class TestLRUEviction:
