@@ -12,8 +12,17 @@ control points in a unit box).  A sample applies a random affine deformation
 rasterizes it with an anti-aliased distance-to-segment pen of random
 thickness, then adds mild pixel noise — mimicking handwriting variation.
 
-Generation is deterministic given ``seed`` and is vectorized over segments
-and pixels.
+Generation is deterministic given ``seed`` and runs in two passes:
+
+* a draw pass, one Python iteration per sample, makes every RNG draw
+  (angle, scale, shear, shift, per-point wobble, pen) and applies the
+  sample's 2x2 affine.  The draws stay per sample because the RNG stream
+  order is part of the golden dataset digests (``tests/test_determinism.py``);
+* a distance pass computes pixel-to-segment distances for samples of one
+  class together (so the segment count is equal), in fixed-size chunks,
+  vectorized over samples, pixels and segments.  Its element-wise arithmetic
+  is the same per pixel whatever the chunking, so images are bit-identical
+  to a one-sample-at-a-time render.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ import numpy as np
 from repro.data.dataset import Dataset
 
 __all__ = ["digit_strokes", "render_digits", "synth_mnist"]
+
+#: Samples per distance-pass chunk.  Each float64 ``(B, H, W, S)`` temporary
+#: is then about 0.5 MB at 28x28 (4 x 784 pixels x up to 22 segments).
+_CHUNK = 4
 
 
 def _arc(
@@ -64,6 +77,39 @@ def _segments_for(strokes: list[list[tuple[float, float]]]) -> np.ndarray:
     return np.concatenate(segs, axis=0)
 
 
+def _nearest_sq_dist(seg: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Squared distance from every pixel center to its nearest segment.
+
+    ``seg`` is a ``(B, S, 4)`` chunk of deformed segments and ``coords`` the
+    pixel-center offsets ``(i + 0.5) / size``; returns ``(B, H, W)``.  Per
+    pixel and segment this is ``t = clip((p - a)·ab / (|ab|² + 1e-12), 0, 1)``
+    then ``|p - (a + t·ab)|²``, one element-wise operation at a time in that
+    order (in place, to keep two ``(B, H, W, S)`` buffers), so the result
+    does not depend on how samples are chunked.
+    """
+    px = coords[None, None, :, None]          # grid columns, x right
+    py = (1.0 - coords)[None, :, None, None]  # grid rows, y up
+    ax, ay, bx, by = (np.ascontiguousarray(seg[:, :, k]) for k in range(4))
+    abx = bx - ax
+    aby = by - ay
+    denom = abx * abx + aby * aby + 1e-12
+    ax, ay, abx, aby, denom = (v[:, None, None, :] for v in (ax, ay, abx, aby, denom))
+    # (p - a)·ab: the x half is computed per grid column, the y half per row.
+    t = (px - ax) * abx + (py - ay) * aby      # (B, H, W, S)
+    t /= denom
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = t * abx
+    ex += ax
+    np.subtract(px, ex, out=ex)
+    ex *= ex
+    t *= aby
+    t += ay
+    np.subtract(py, t, out=t)
+    t *= t
+    ex += t
+    return ex.min(axis=-1)
+
+
 def render_digits(
     labels: np.ndarray,
     rng: np.random.Generator,
@@ -73,22 +119,23 @@ def render_digits(
     """Render one image per label with random handwriting-style deformation.
 
     Returns a float32 array of shape ``(N, 1, size, size)`` in [0, 1].
+    Raises ``ValueError`` for a label outside 0-9 or a negative ``noise``.
     """
-    strokes = digit_strokes()
-    segments = {d: _segments_for(s) for d, s in strokes.items()}
+    if noise < 0:
+        raise ValueError(f"noise must be non-negative, got {noise}")
+    segments = {d: _segments_for(s) for d, s in digit_strokes().items()}
+    labels = np.asarray(labels).astype(np.int64)
+    bad = np.unique(labels[(labels < 0) | (labels > 9)])
+    if bad.size:
+        raise ValueError(f"digit labels must be in 0-9, got {bad.tolist()}")
 
-    ys, xs = np.mgrid[0:size, 0:size]
-    # Pixel centers in unit coordinates, y flipped so strokes' y-up matches rows.
-    px = (xs + 0.5) / size
-    py = 1.0 - (ys + 0.5) / size
-    pix = np.stack([px.ravel(), py.ravel()], axis=1)  # (P, 2)
-
+    # Draw pass: every RNG draw, in the per-sample order the golden digests pin.
     n = len(labels)
-    out = np.zeros((n, size * size), dtype=np.float32)
-    for i, lab in enumerate(labels):
-        seg = segments[int(lab)].copy()  # (S, 4)
-        pts = seg.reshape(-1, 2)
-
+    drawn = []
+    pens = np.empty(n, dtype=np.float64)
+    center = np.array([0.5, 0.5], dtype=np.float64)
+    for i, lab in enumerate(labels.tolist()):
+        pts = segments[lab].reshape(-1, 2)
         # Random affine about the glyph center.  Geometry stays float64 on
         # purpose (sub-pixel rasterization); the rendered image is handed
         # to the model boundary as float32 below.
@@ -97,25 +144,23 @@ def render_digits(
         shear = rng.normal(0.0, 0.12)
         ca, sa = math.cos(angle), math.sin(angle)
         affine = np.array([[ca, -sa + shear], [sa, ca]], dtype=np.float64) * scale
-        center = np.array([0.5, 0.5], dtype=np.float64)
         shift = rng.normal(0.0, 0.035, size=2)
         pts = (pts - center) @ affine.T + center + shift
         # Small per-point wobble for stroke irregularity.
         pts = pts + rng.normal(0.0, 0.008, size=pts.shape)
-        seg = pts.reshape(-1, 4)
+        drawn.append(pts.reshape(-1, 4))
+        pens[i] = rng.uniform(0.028, 0.05)
 
-        a = seg[:, 0:2][None]          # (1, S, 2) segment starts
-        b = seg[:, 2:4][None]          # (1, S, 2) segment ends
-        p = pix[:, None, :]            # (P, 1, 2)
-        ab = b - a
-        denom = (ab * ab).sum(-1) + 1e-12
-        t = np.clip(((p - a) * ab).sum(-1) / denom, 0.0, 1.0)
-        proj = a + t[..., None] * ab
-        d = np.sqrt(((p - proj) ** 2).sum(-1)).min(axis=1)  # (P,)
-
-        pen = rng.uniform(0.028, 0.05)
-        img = np.clip(1.0 - d / pen, 0.0, 1.0)  # anti-aliased stroke
-        out[i] = img.astype(np.float32)
+    # Distance pass: one class at a time (equal segment count S), in chunks.
+    coords = (np.arange(size) + 0.5) / size
+    out = np.zeros((n, size * size), dtype=np.float32)
+    for digit in segments:
+        members = np.flatnonzero(labels == digit)
+        for lo in range(0, len(members), _CHUNK):
+            idx = members[lo : lo + _CHUNK]
+            d = np.sqrt(_nearest_sq_dist(np.stack([drawn[i] for i in idx]), coords))
+            img = np.clip(1.0 - d / pens[idx, None, None], 0.0, 1.0)  # anti-aliased stroke
+            out[idx] = img.reshape(len(idx), -1).astype(np.float32)
 
     if noise > 0:
         out += rng.normal(0.0, noise, size=out.shape).astype(np.float32)

@@ -198,6 +198,17 @@ class TestSynthMnist:
         train, _ = synth_mnist(n_train=20, n_test=10, seed=0, size=14)
         assert train.images.shape[1:] == (1, 14, 14)
 
+    @pytest.mark.parametrize("labels", [[10], [3, -1], [0, 11, 2]])
+    def test_rejects_out_of_range_labels(self, labels):
+        with pytest.raises(ValueError, match="0-9"):
+            render_digits(np.array(labels), np.random.default_rng(0))
+
+    def test_rejects_negative_noise(self):
+        with pytest.raises(ValueError, match="noise"):
+            render_digits(np.array([1, 2]), np.random.default_rng(0), noise=-0.5)
+        with pytest.raises(ValueError, match="noise"):
+            synth_mnist(n_train=10, n_test=10, seed=0, noise=-0.5)
+
 
 class TestSynthCifar:
     def test_shapes_and_ranges(self, tiny_cifar):

@@ -7,6 +7,7 @@ must be a conscious, versioned decision.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import DropBack
 from repro.data import DataLoader
@@ -74,6 +75,35 @@ class TestGoldenDatasets:
             array_digest(train.images)
             == "ba5718f753d7e8fe156e8993789a0d7c24e24d332aa7c1ba287c0ecf98b8dc0a"
         )
+
+    @pytest.mark.parametrize(
+        ("kwargs", "train_digest", "test_digest"),
+        [
+            (
+                # Uneven class counts: the last distance-pass chunk of a class is short.
+                dict(n_train=257, n_test=131, seed=11),
+                "d3758fe0929f9648c0d08f6eec8dc63c326e0b89606393eebf81599426e1a06c",
+                "aff6a335944cbdfd581458fc1db776041c751a488c09bba6245c9f40d55c07b1",
+            ),
+            (
+                dict(n_train=100, n_test=50, seed=2, size=14, noise=0.0),
+                "cafd8b84103bfe7e6f96b25da5d1199fda2f217de1642ab1f7993105aaa261b3",
+                "cf63f076bae5794e4555027fdd28ea91f9cea715f7498943b18ce6c22d569994",
+            ),
+            (
+                dict(n_train=100, n_test=50, seed=5, noise=0.25),
+                "849a7af71233608c3e06f2e30c03881ad283fc9841a44665c72a0e2d47e2142c",
+                "a13dc3065c27780be7bc8858f0259f817e476ebbe9ece3e97935e6605fa013b1",
+            ),
+        ],
+        ids=["uneven-classes", "size14-noiseless", "noise0.25"],
+    )
+    def test_synth_mnist_digest_variants(self, kwargs, train_digest, test_digest):
+        from repro.data import synth_mnist
+
+        train, test = synth_mnist(**kwargs)
+        assert array_digest(train.images) == train_digest
+        assert array_digest(test.images) == test_digest
 
     def test_synth_cifar_digest(self):
         from repro.data import synth_cifar
