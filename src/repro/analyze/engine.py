@@ -384,16 +384,12 @@ class LintEngine:
         Directory violation paths are reported relative to (default: the
         common parent inferred per-path; pass the repo root for stable
         baseline fingerprints).
-    index_cache:
-        Optional JSON path caching pass-1 facts keyed on per-file source
-        hashes (the CI analyze job persists it across runs).
     """
 
     def __init__(
         self,
         select: Iterable[str] | None = None,
         root: Path | str | None = None,
-        index_cache: Path | str | None = None,
     ):
         codes = list(select) if select is not None else sorted(RULE_REGISTRY)
         unknown = [c for c in codes if c not in RULE_REGISTRY]
@@ -403,7 +399,6 @@ class LintEngine:
         self.rule_classes = [c for c in classes if not issubclass(c, ProjectRule)]
         self.project_rule_classes = [c for c in classes if issubclass(c, ProjectRule)]
         self.root = Path(root).resolve() if root is not None else None
-        self.index_cache = index_cache
         self.index = None  # the pass-1 PackageIndex of the last lint_paths run
         self.errors: list[str] = []
 
@@ -447,10 +442,7 @@ class LintEngine:
         """Build the pass-1 package index over already-parsed sources."""
         from repro.analyze.callgraph import build_index  # late: keeps engine ast-only
 
-        index = build_index(
-            {rp: (src.tree, src.text) for rp, src in sources.items()},
-            cache_path=self.index_cache,
-        )
+        index = build_index({rp: src.tree for rp, src in sources.items()})
         index.sources = sources
         return index
 
@@ -464,7 +456,7 @@ class LintEngine:
             sources[src.relpath] = src
             for cls in self.rule_classes:
                 violations.extend(cls(src).run())
-        if self.project_rule_classes or self.index_cache is not None:
+        if self.project_rule_classes:
             self.index = self.build_index(sources)
             for cls in self.project_rule_classes:
                 violations.extend(cls(self.index).run())

@@ -17,9 +17,7 @@ things the concurrency rules (RPA010-013) need to reason about:
   ``os.fork()``) and the ``@profiled`` decoration status.
 
 Everything here is pure ``ast`` — no imports from the rest of the
-package — so the extractor can run over arbitrary fixture trees in tests
-and its output can be serialized into the CI index cache
-(:meth:`ModuleFacts.to_dict` round-trips through JSON).
+package — so the extractor can run over arbitrary fixture trees in tests.
 
 Lock identity
 -------------
@@ -201,53 +199,6 @@ class FunctionFacts:
     def qualname(self) -> str:
         return f"{self.module}:{self.scope}"
 
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "relpath": self.relpath,
-            "scope": self.scope,
-            "name": self.name,
-            "lineno": self.lineno,
-            "cls": self.cls,
-            "profiled": self.profiled,
-            "calls": [[c.name, c.lineno, list(c.held)] for c in self.calls],
-            "acquires": [
-                [a.lock, a.lineno, list(a.held), a.via] for a in self.acquires
-            ],
-            "barrier_waits": list(self.barrier_waits),
-            "arena_writes": [[w.region, w.lineno, w.kind] for w in self.arena_writes],
-            "rng_draws": [[d.kind, d.name, d.lineno] for d in self.rng_draws],
-            "spawns": [[s.kind, s.target, s.lineno] for s in self.spawns],
-            "mutations": [
-                [m.attr, m.lineno, list(m.held), m.kind] for m in self.mutations
-            ],
-            "nested": list(self.nested),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionFacts":
-        return cls(
-            module=d["module"],
-            relpath=d["relpath"],
-            scope=d["scope"],
-            name=d["name"],
-            lineno=d["lineno"],
-            cls=d["cls"],
-            profiled=d["profiled"],
-            calls=[CallSite(n, ln, tuple(h)) for n, ln, h in d["calls"]],
-            acquires=[
-                LockAcquire(k, ln, tuple(h), via) for k, ln, h, via in d["acquires"]
-            ],
-            barrier_waits=list(d["barrier_waits"]),
-            arena_writes=[ArenaWrite(r, ln, k) for r, ln, k in d["arena_writes"]],
-            rng_draws=[RngDraw(k, n, ln) for k, n, ln in d["rng_draws"]],
-            spawns=[SpawnSite(k, t, ln) for k, t, ln in d["spawns"]],
-            mutations=[
-                Mutation(a, ln, tuple(h), k) for a, ln, h, k in d["mutations"]
-            ],
-            nested=list(d["nested"]),
-        )
-
 
 @dataclass
 class ClassFacts:
@@ -259,25 +210,6 @@ class ClassFacts:
     #: ``__init__``, or dataclass fields with a lock default_factory).
     lock_attrs: dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "lock_attrs": dict(self.lock_attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassFacts":
-        return cls(
-            name=d["name"],
-            lineno=d["lineno"],
-            bases=list(d["bases"]),
-            methods=list(d["methods"]),
-            lock_attrs={k: int(v) for k, v in d["lock_attrs"].items()},
-        )
-
 
 @dataclass
 class ModuleFacts:
@@ -287,27 +219,6 @@ class ModuleFacts:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     classes: dict[str, ClassFacts] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "relpath": self.relpath,
-            "module": self.module,
-            "imports": dict(self.imports),
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleFacts":
-        return cls(
-            relpath=d["relpath"],
-            module=d["module"],
-            imports=dict(d["imports"]),
-            functions={
-                k: FunctionFacts.from_dict(f) for k, f in d["functions"].items()
-            },
-            classes={k: ClassFacts.from_dict(c) for k, c in d["classes"].items()},
-        )
 
 
 # ---------------------------------------------------------------------- #

@@ -42,7 +42,6 @@ HOT_MODULES = (
     "tensor/functional.py",
     "tensor/kernels/reference.py",
     "tensor/kernels/fast.py",
-    "tensor/kernels/threaded.py",
     "core/selection.py",
 )
 

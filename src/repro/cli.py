@@ -192,7 +192,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "val_error": result.val_error,
             "backend": kernels.get_backend(),
-            "threads": kernels.thread_count(),
         },
     )
     print()
@@ -222,9 +221,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         select = ["RPA010", "RPA011", "RPA012", "RPA013"]
-    engine = analyze.LintEngine(
-        select=select, root=Path.cwd(), index_cache=args.index_cache
-    )
+    engine = analyze.LintEngine(select=select, root=Path.cwd())
     paths = args.paths or ["src"]
     violations = engine.lint_paths(paths)
 
@@ -308,8 +305,7 @@ def cmd_kernels(args: argparse.Namespace) -> int:
             resolved, _ = kernels.resolve(op)
             rows.append([op, ", ".join(backends), overrides.get(op, "-"), resolved])
         print(format_table(["op", "backends", "override", "resolved"], rows))
-        print(f"\nactive backend: {active} (REPRO_BACKEND)  "
-              f"threads: {kernels.thread_count()} (REPRO_THREADS)")
+        print(f"\nactive backend: {active} (REPRO_BACKEND)")
         print(f"sparse density cutoff: {sparse.density_cutoff():g} "
               f"(REPRO_SPARSE_DENSITY_CUTOFF; above it the sparse backend "
               f"delegates to fast)")
@@ -478,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--no-baseline", action="store_true",
                            help="ignore any baseline file: every finding is new "
                                 "(used by the zero-debt concurrency CI gate)")
-    p_analyze.add_argument("--index-cache", default=None, metavar="PATH",
-                           help="JSON cache for the pass-1 package index, keyed "
-                                "on per-file source hashes (CI persists it)")
     p_analyze.add_argument("--list-rules", action="store_true",
                            help="print the rule catalog and exit")
     p_analyze.set_defaults(func=cmd_analyze)

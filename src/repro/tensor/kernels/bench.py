@@ -95,13 +95,9 @@ _SPEEDUP_METAS = {
     "speedup_bn_relu": "bn_relu_forward",
 }
 
-#: meta name -> op whose reference/threaded ratio it records.  Only gated
-#: on multi-core runners (see ci.yml): with one CPU the threaded split is
-#: pure overhead, so the meta is recorded for observability but a floor
-#: would be dishonest.  ``meta.cpu_count`` says which regime produced it.
-_THREADED_METAS = {
-    "speedup_threaded_gemm": "matmul",
-}
+#: Environment variables that set the BLAS thread count, recorded in meta
+#: (CI pins both to 1, as the committed baseline was measured).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _min_seconds(fn, args, rounds: int, warmup: int = 2) -> float:
@@ -144,7 +140,7 @@ def bench_kernels(rounds: int = BENCH_ROUNDS, seed: int = 0) -> PerfReport:
         "seed": seed,
         "active_backend": registry.get_backend(),
         "op_overrides": registry.op_overrides(),
-        "threads": registry.thread_count(),
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "cpu_count": os.cpu_count() or 1,
         "sparse_density_cutoff": sparse.density_cutoff(),
         "shapes": {
@@ -157,11 +153,6 @@ def bench_kernels(rounds: int = BENCH_ROUNDS, seed: int = 0) -> PerfReport:
         fast = minima.get((op, "fast"))
         if ref and fast:
             meta[meta_name] = round(ref / fast, 4)
-    for meta_name, op in _THREADED_METAS.items():
-        ref = minima.get((op, registry.REFERENCE_BACKEND))
-        threaded = minima.get((op, "threaded"))
-        if ref and threaded:
-            meta[meta_name] = round(ref / threaded, 4)
     return PerfReport(name="kernels", ops=ops, meta=meta)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "list_backends",
     "op_overrides",
     "op_table",
-    "thread_count",
     "REFERENCE_BACKEND",
     "DEFAULT_BACKEND",
 ]
@@ -155,21 +154,3 @@ def op_table() -> dict[str, dict[str, Callable]]:
     """A copy of the full dispatch table (introspection/CLI)."""
     return {op: dict(table) for op, table in _KERNELS.items()}
 
-
-def thread_count() -> int:
-    """Worker threads for the ``threaded`` backend (``REPRO_THREADS``).
-
-    Defaults to the machine's CPU count; clamped to at least 1.  BLAS
-    releases the GIL, so threads help only when more than one core exists —
-    the threaded backend is registered regardless so its dispatch and
-    parity are exercised everywhere.
-    """
-    raw = os.environ.get("REPRO_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"REPRO_THREADS must be an integer, got {raw!r}") from exc
-    else:
-        n = os.cpu_count() or 1
-    return max(1, n)

@@ -83,28 +83,13 @@ class TestFacts:
         assert go.acquires[0].lock == "R._lock"
         assert go.mutations[0].held == ("R._lock",)
 
-    def test_facts_json_roundtrip(self):
-        import ast
-
-        from repro.analyze.facts import ModuleFacts
-
-        src = (REPO / "src/repro/parallel/trainer.py").read_text()
-        mf = collect_module_facts(
-            ast.parse(src), "src/repro/parallel/trainer.py"
-        )
-        again = ModuleFacts.from_dict(mf.to_dict())
-        assert again.to_dict() == mf.to_dict()
-
 
 class TestCallGraph:
     def _index(self, files: dict[str, str]):
         import ast
 
         return build_index(
-            {
-                rel: (ast.parse(textwrap.dedent(text)), textwrap.dedent(text))
-                for rel, text in files.items()
-            }
+            {rel: ast.parse(textwrap.dedent(text)) for rel, text in files.items()}
         )
 
     def test_cross_module_call_resolution(self):
@@ -153,17 +138,6 @@ class TestCallGraph:
             }
         )
         assert idx.locks_below("pkg.a:top") == {"pkg.a.DEEP_LOCK"}
-
-    def test_index_cache_reuses_unchanged_files(self, tmp_path):
-        import ast
-
-        files = {"src/pkg/a.py": "def f():\n    pass\n"}
-        cache = tmp_path / "idx.json"
-        sources = {rel: (ast.parse(t), t) for rel, t in files.items()}
-        build_index(sources, cache_path=cache)
-        assert cache.is_file()
-        idx2 = build_index(sources, cache_path=cache)
-        assert "pkg.a:f" in idx2.functions
 
 
 # ---------------------------------------------------------------------- #

@@ -114,9 +114,11 @@ class TestKernelsCommand:
         finally:
             registry.set_op_backend("matmul", None)
 
-    def test_bench_writes_perf_report(self, tmp_path, capsys):
+    def test_bench_writes_perf_report(self, tmp_path, capsys, monkeypatch):
         from repro.profile import PerfReport
 
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         out_path = tmp_path / "perf_kernels.json"
         assert main(["kernels", "--bench", "--rounds", "2", "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
@@ -129,3 +131,6 @@ class TestKernelsCommand:
         assert report.meta["rounds"] == 2
         assert report.meta["sparse_density_cutoff"] == 0.25
         assert report.meta["op_overrides"] == {}
+        assert report.meta["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+        }

@@ -75,16 +75,6 @@ class TestMatmulParity:
         b = RNG.standard_normal((20, 4)).astype(np.float64)
         np.testing.assert_allclose(fn(a, b), a @ b)
 
-    def test_threaded_split_paths_with_forced_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "3")
-        ref, fn = _pair("matmul", "threaded")
-        a2 = RNG.standard_normal((600, 32)).astype(np.float32)   # row split
-        b2 = RNG.standard_normal((32, 16)).astype(np.float32)
-        np.testing.assert_allclose(fn(a2, b2), ref(a2, b2), rtol=GEMM_RTOL, atol=GEMM_ATOL)
-        a3 = RNG.standard_normal((8, 12, 10)).astype(np.float32)  # batch split
-        b3 = RNG.standard_normal((8, 10, 6)).astype(np.float32)
-        np.testing.assert_allclose(fn(a3, b3), ref(a3, b3), rtol=GEMM_RTOL, atol=GEMM_ATOL)
-
 
 # --------------------------------------------------------------------- #
 # im2col (bit-exact gather: fixed iteration order on both backends)

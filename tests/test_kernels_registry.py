@@ -115,19 +115,6 @@ class TestEnvironment:
         finally:
             registry._ACTIVE[0] = None
 
-    def test_thread_count_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "3")
-        assert kernels.thread_count() == 3
-
-    def test_thread_count_clamped_to_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "0")
-        assert kernels.thread_count() == 1
-
-    def test_thread_count_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "many")
-        with pytest.raises(ValueError, match="REPRO_THREADS"):
-            kernels.thread_count()
-
 
 class TestIntrospection:
     def test_every_op_has_a_reference_kernel(self):

@@ -1,7 +1,7 @@
 """Extended property-based tests: quantization, overlap metrics, energy."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,12 +24,15 @@ class TestQuantizerProperties:
         values=arrays(np.float64, st.integers(1, 200), elements=bounded_floats),
         bits=st.integers(2, 16),
     )
+    @example(values=np.array([30.0, 36.0]), bits=5)  # 28.8 dequantizes to 28.7999992
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_error_bounded_by_half_step(self, values, bits):
         q = UniformQuantizer(bits=bits)
         back = q.roundtrip(values)
         scale = q.scale_for(values)
-        assert np.abs(back - values).max() <= 0.5 * scale + 1e-12
+        # dequantize returns float32: allow one float32 ulp of the largest value.
+        ulp = np.spacing(np.float32(np.abs(values).max()))
+        assert np.abs(back - values).max() <= 0.5 * scale + ulp
 
     @given(
         values=arrays(np.float64, st.integers(1, 100), elements=bounded_floats),
